@@ -1,9 +1,9 @@
-# Build / test / bench entry points. Tier-1 verification is
-# `make check` (what CI runs); `make bench` regenerates BENCH_PR1.json.
+# Build / test entry points. Tier-1 verification is `make check` (what
+# CI runs).
 
 GO ?= go
 
-.PHONY: all build test race streams htap crash dist fuzz-smoke vet fmt-check check bench bench-paper
+.PHONY: all build test race streams htap crash dist fuzz-smoke vet fmt-check check perfbench bench-paper
 
 all: check
 
@@ -67,10 +67,11 @@ fmt-check:
 
 check: fmt-check vet build test
 
-# Per-query TPC-H executor benchmarks → BENCH_PR1.json (row-at-a-time
-# baseline vs columnar). BENCHTIME=10x for steadier numbers.
-bench:
-	./scripts/bench.sh
+# The benchmark is its own Go module (perfbench/), so `go build ./...`
+# never compiles it; vet and test it here (CI's `perfbench` job). Run a
+# workload with `python3 perfbench/run.py --workload <name>`.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # The paper-artifact benches (Tables 2–5, Figures 1–6, ablations).
 bench-paper:

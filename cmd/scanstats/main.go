@@ -6,7 +6,6 @@
 // accounting as JSON — plus, per base table, the per-string-column
 // dictionary cardinality and encoded-vs-raw byte ratio, so the
 // compression win is observable without a benchmark run.
-// scripts/bench.sh embeds the output in BENCH_PR2.json / BENCH_PR5.json.
 //
 // With -enc it instead prints the per-chunk encoding census: for every
 // column of every base table, how many chunks landed on each encoding
@@ -17,7 +16,7 @@
 //
 // Usage:
 //
-//	scanstats [-sf 0.01] [-group-rows 2048] [-queries 1,6] [-no-dict] [-no-rle] [-no-delta]
+//	scanstats [-sf 0.01] [-group-rows 2048] [-queries 1,6] [-no-dict]
 //	scanstats -table-bytes lineitem [-no-dict] [-cluster l_shipdate]   # just the RCFile size
 //	scanstats -enc [-cluster l_shipdate]                               # encoding histogram
 package main
@@ -94,16 +93,12 @@ func main() {
 	queries := flag.String("queries", "1,6", "query IDs, comma-separated")
 	seed := flag.Int64("seed", 1, "generator seed")
 	noDict := flag.Bool("no-dict", false, "disable dictionary encoding of low-cardinality string columns")
-	noRLE := flag.Bool("no-rle", false, "disable run-length chunk encoding (RCFile writer and scan model)")
-	noDelta := flag.Bool("no-delta", false, "disable delta chunk encoding (RCFile writer and scan model)")
 	cluster := flag.String("cluster", "", "cluster the owning base table on this column before encoding (e.g. l_shipdate)")
 	encMode := flag.Bool("enc", false, "print the per-column chunk-encoding histogram and exit")
 	cacheMB := flag.Int("cache-mb", 0, "attach a shared decompressed-chunk cache of this many MiB (0 = none)")
 	tableBytes := flag.String("table-bytes", "", "print only the named table's RCFile byte count and exit")
 	flag.Parse()
 
-	relal.ModelRLE, relal.ModelDelta = !*noRLE, !*noDelta
-	opts := rcfile.WriterOpts{NoRLE: *noRLE, NoDelta: *noDelta}
 	db := tpch.Generate(tpch.GenConfig{SF: *sf, Seed: *seed, Random64: true, NoDict: *noDict})
 	if *cluster != "" {
 		if _, err := db.Cluster(*cluster); err != nil {
@@ -113,7 +108,7 @@ func main() {
 	}
 
 	if *tableBytes != "" {
-		src, err := rcfile.NewSourceOpts(db.Table(*tableBytes), *groupRows, opts)
+		src, err := rcfile.NewSource(db.Table(*tableBytes), *groupRows)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scanstats: encode", *tableBytes+":", err)
 			os.Exit(1)
@@ -123,7 +118,7 @@ func main() {
 	}
 
 	if *encMode {
-		if err := printEncReport(db, *groupRows, opts); err != nil {
+		if err := printEncReport(db, *groupRows); err != nil {
 			fmt.Fprintln(os.Stderr, "scanstats:", err)
 			os.Exit(1)
 		}
@@ -148,7 +143,7 @@ func main() {
 	seenFiles := map[uint64]bool{}
 	for _, name := range tpch.TableNames {
 		t := db.Table(name)
-		src, err := rcfile.NewSourceOpts(t, *groupRows, opts)
+		src, err := rcfile.NewSource(t, *groupRows)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scanstats: encode", name+":", err)
 			os.Exit(1)
@@ -256,11 +251,11 @@ type encColumn struct {
 // printEncReport encodes every base table and emits the per-column
 // encoding histogram straight from the RCFile footers (no chunk is
 // decompressed, no query runs).
-func printEncReport(db *tpch.DB, groupRows int, opts rcfile.WriterOpts) error {
+func printEncReport(db *tpch.DB, groupRows int) error {
 	rep := map[string]map[string]*encColumn{}
 	for _, name := range tpch.TableNames {
 		t := db.Table(name)
-		src, err := rcfile.NewSourceOpts(t, groupRows, opts)
+		src, err := rcfile.NewSource(t, groupRows)
 		if err != nil {
 			return fmt.Errorf("encode %s: %w", name, err)
 		}

@@ -4,41 +4,12 @@
 // breakdown), and Figure 1 (normalized means), comparing the Hive and
 // PDW models on the simulated 16-node cluster.
 //
-// With -streams N it instead runs the concurrent query-stream harness:
-// N goroutine streams replay the 22 queries over one shared immutable
-// DB and the aggregate throughput is reported (JSON with -stream-json,
-// which scripts/bench.sh embeds in BENCH_PR3.json).
-//
-// With -htap it runs the combined HTAP harness: closed-loop write
-// clients replay held-back rows through the delta-log write path while
-// the analytical streams run, and the report covers write ops/sec,
-// analytical QPS, and freshness lag (JSON with -htap-json, which
-// scripts/bench.sh embeds in BENCH_PR8.json).
+// Throughput of the real engine (query streams, HTAP writes, the
+// distributed scatter/gather path) is measured by perfbench instead.
 //
 // Usage:
 //
-//	tpchbench [-laptop-sf 0.002] [-sf 250,1000,4000,16000] [-queries 1,5,19] [-workers N]
-//	tpchbench -streams N [-stream-rounds R] [-stream-json] [-laptop-sf 0.01] [-workers N]
-//	          [-stream-rcfile] [-cache-mb M] [-no-result-cache] [-no-chunk-cache]
-//	tpchbench -htap [-writers N] [-target-ops R] [-hold-frac F] [-streams N]
-//	          [-stream-rounds R] [-stream-rcfile] [-htap-json]
-//	          [-durable DIR] [-sync-policy group|always|none] [-fault-seed S]
-//	tpchbench -dist N [-dist-fault-seed S] [-dist-procs] [-dist-recovery]
-//	          [-dist-json] [-stream-rounds R] [-queries 6,12] [-workers N]
-//
-// With -dist N the 22 queries stream through a coordinator scattering
-// over N localhost shard servers (hash-partitioned orders+lineitem,
-// each with a durable delta log); every answer is merged back exactly.
-// -dist-fault-seed injects seeded network faults (drops, truncations,
-// duplicates, resets, delays) that the retry/CRC machinery must absorb;
-// -dist-recovery kills and restarts a shard and times kill → first
-// exact answer (JSON with -dist-json, embedded in BENCH_PR10.json).
-//
-// With -durable the delta log (and, with -stream-rcfile, the converted
-// parts) live on disk under DIR; the run ends by closing the store and
-// timing a reopen + replay, reported in the "durable" block. A non-zero
-// -fault-seed injects transient part-write faults to exercise the
-// converter's retry path.
+//	tpchbench [-laptop-sf 0.002] [-sf 250,1000,4000,16000] [-queries 1,5,19] [-seed 1] [-no-dict]
 package main
 
 import (
@@ -49,51 +20,15 @@ import (
 	"strings"
 
 	"elephants/internal/core"
-	"elephants/internal/dist"
-	"elephants/internal/tpch"
 )
 
 func main() {
-	// A re-exec with DIST_SHARD_CONFIG set is a shard child, not a
-	// bench run: serve the shard and never parse flags.
-	if dist.MaybeShardMain() {
-		return
-	}
 	laptopSF := flag.Float64("laptop-sf", 0.002, "functional dataset scale factor")
 	sfList := flag.String("sf", "250,1000,4000,16000", "modeled scale factors (GB), comma-separated")
 	queries := flag.String("queries", "", "query IDs to run (default: all 22)")
 	seed := flag.Int64("seed", 1, "generator seed")
-	workers := flag.Int("workers", 0, "executor worker-pool size (0 = GOMAXPROCS, 1 = serial)")
-	streams := flag.Int("streams", 0, "run N concurrent query streams instead of the paper tables")
-	streamRounds := flag.Int("stream-rounds", 3, "rounds of the query list per stream")
-	streamJSON := flag.Bool("stream-json", false, "emit the stream result as JSON (for bench.sh)")
-	streamRCFile := flag.Bool("stream-rcfile", false, "back stream scans with RCFile-encoded tables (enables the chunk cache)")
-	cacheMB := flag.Int("cache-mb", 64, "shared decompressed-chunk cache capacity in MiB (with -stream-rcfile)")
-	noResultCache := flag.Bool("no-result-cache", false, "disable per-(query, epoch) result memoization across rounds")
-	noChunkCache := flag.Bool("no-chunk-cache", false, "disable the shared decompressed-chunk cache (with -stream-rcfile)")
-	noTopK := flag.Bool("no-topk", false, "disable the fused TopK operator (bounded queries run unfused Sort+Limit; answers identical)")
 	noDict := flag.Bool("no-dict", false, "disable dictionary encoding of low-cardinality string columns (answers identical; kernels compare strings instead of codes)")
-	noRLE := flag.Bool("no-rle", false, "disable run-length chunk encoding in RCFiles and the scan model (answers identical)")
-	noDelta := flag.Bool("no-delta", false, "disable delta/frame-of-reference chunk encoding in RCFiles and the scan model (answers identical)")
-	htapRun := flag.Bool("htap", false, "run the combined HTAP harness (write stream + analytical streams over one store)")
-	htapJSON := flag.Bool("htap-json", false, "emit the HTAP result as JSON (for bench.sh)")
-	writers := flag.Int("writers", 4, "closed-loop write clients (with -htap)")
-	targetOps := flag.Float64("target-ops", 0, "aggregate write throughput target in ops/sec, 0 = unthrottled (with -htap)")
-	holdFrac := flag.Float64("hold-frac", 0.02, "fraction of orders+lineitem rows held back and replayed as writes (with -htap)")
-	convertRows := flag.Int("convert-rows", 256, "delta-tail size at which the background converter encodes a columnar part (with -htap)")
-	durable := flag.String("durable", "", "directory for the durable delta log and RCF5 parts; the run ends with a close + timed recovery (with -htap)")
-	syncPolicy := flag.String("sync-policy", "group", "durable log fsync policy: group, always, or none (with -htap -durable)")
-	faultSeed := flag.Int64("fault-seed", 0, "non-zero wraps the durable FS in a seeded fault injector (transient part-write failures; with -htap)")
-	distShards := flag.Int("dist", 0, "run the distributed scatter/gather harness over N shard servers")
-	distFaultSeed := flag.Int64("dist-fault-seed", 0, "non-zero arms a seeded network fault schedule on every coordinator frame (with -dist)")
-	distProcs := flag.Bool("dist-procs", false, "run shards as real OS processes re-executing this binary (with -dist)")
-	distRecovery := flag.Bool("dist-recovery", false, "kill + restart one shard after the QPS phase and time recovery (with -dist)")
-	distJSON := flag.Bool("dist-json", false, "emit the distributed result as JSON (for bench.sh)")
 	flag.Parse()
-
-	if *noTopK {
-		tpch.TopKFusion = false
-	}
 
 	var qids []int
 	var err error
@@ -105,43 +40,7 @@ func main() {
 		}
 	}
 
-	if *distShards > 0 {
-		runDist(core.DistConfig{
-			LaptopSF: *laptopSF, Seed: *seed,
-			Shards: *distShards, Rounds: *streamRounds,
-			Queries: qids, Workers: *workers,
-			FaultSeed: *distFaultSeed, Procs: *distProcs, Recovery: *distRecovery,
-		}, *distJSON)
-		return
-	}
-
-	if *htapRun {
-		runHTAP(core.HTAPConfig{
-			LaptopSF: *laptopSF, Seed: *seed, HoldFrac: *holdFrac,
-			Writers: *writers, TargetOps: *targetOps,
-			Streams: *streams, Rounds: *streamRounds, Workers: *workers,
-			Queries: qids, NoDict: *noDict, NoRLE: *noRLE, NoDelta: *noDelta,
-			RCFile: *streamRCFile, CacheMB: *cacheMB,
-			NoResultCache: *noResultCache, NoChunkCache: *noChunkCache,
-			ConvertRows: *convertRows,
-			DurablePath: *durable, SyncPolicy: *syncPolicy, FaultSeed: *faultSeed,
-		}, *htapJSON)
-		return
-	}
-
-	if *streams > 0 {
-		runStreams(core.TPCHStreamConfig{
-			LaptopSF: *laptopSF, Seed: *seed,
-			Streams: *streams, Rounds: *streamRounds, Workers: *workers,
-			Queries: qids, NoDict: *noDict, NoRLE: *noRLE, NoDelta: *noDelta,
-			RCFile: *streamRCFile, CacheMB: *cacheMB,
-			NoResultCache: *noResultCache, NoChunkCache: *noChunkCache,
-		}, *streamJSON)
-		return
-	}
-
-	cfg := core.TPCHConfig{LaptopSF: *laptopSF, Seed: *seed, Workers: *workers, Queries: qids,
-		NoDict: *noDict, NoRLE: *noRLE, NoDelta: *noDelta}
+	cfg := core.TPCHConfig{LaptopSF: *laptopSF, Seed: *seed, Queries: qids, NoDict: *noDict}
 	cfg.ScaleFactors, err = parseFloats(*sfList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tpchbench:", err)
@@ -159,156 +58,6 @@ func main() {
 	res.WriteTable5(os.Stdout)
 	fmt.Println()
 	res.WriteFigure1(os.Stdout)
-}
-
-// runDist executes the distributed scatter/gather harness and prints
-// either a human summary or the JSON blob bench.sh embeds.
-func runDist(cfg core.DistConfig, asJSON bool) {
-	if cfg.LaptopSF <= 0.002 {
-		cfg.LaptopSF = 0.005 // the golden scale the dist tests pin
-	}
-	res, err := core.RunDist(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tpchbench:", err)
-		os.Exit(1)
-	}
-	s := res.Stats
-	if asJSON {
-		fmt.Printf("{\"shards\": %d, \"procs\": %v, \"rounds\": %d, \"queries\": %d, \"elapsed_ms\": %.1f, \"qps\": %.2f",
-			res.Config.Shards, res.Config.Procs, res.Config.Rounds, res.Queries,
-			float64(res.Elapsed.Microseconds())/1000, res.QPS)
-		fmt.Printf(", \"fault_seed\": %d, \"requests\": %d, \"retries\": %d, \"failfast\": %d, \"breaker_trips\": %d, \"breaker_closes\": %d, \"partials\": %d, \"net_faults_injected\": %d",
-			res.Config.FaultSeed, s["dist_requests"], s["dist_retries"], s["dist_failfast"],
-			s["dist_breaker_trips"], s["dist_breaker_closes"], s["dist_partials"], s["net_faults_injected"])
-		if r := res.Recovery; r != nil {
-			fmt.Printf(", \"recovery\": {\"killed_shard\": %d, \"recovery_ms\": %.3f, \"retries\": %d}",
-				r.KilledShard, r.RecoveryMS, r.Retries)
-		}
-		fmt.Println("}")
-		return
-	}
-	mode := "in-process"
-	if res.Config.Procs {
-		mode = "OS-process"
-	}
-	fmt.Printf("Distributed: %d %s shard(s), %d round(s) of %d query ids\n",
-		res.Config.Shards, mode, res.Config.Rounds, res.Queries/res.Config.Rounds)
-	fmt.Printf("  %d exact answers in %v  =>  %.2f queries/sec\n", res.Queries, res.Elapsed, res.QPS)
-	fmt.Printf("  wire: %d requests, %d retries, %d fail-fast, breaker %d trip(s)/%d close(s), %d partials, %d net faults injected (seed %d)\n",
-		s["dist_requests"], s["dist_retries"], s["dist_failfast"],
-		s["dist_breaker_trips"], s["dist_breaker_closes"], s["dist_partials"],
-		s["net_faults_injected"], res.Config.FaultSeed)
-	if r := res.Recovery; r != nil {
-		fmt.Printf("  recovery: shard %d killed + restarted; first exact answer %.1f ms after the kill (%d retries)\n",
-			r.KilledShard, r.RecoveryMS, r.Retries)
-	}
-}
-
-// runHTAP executes the combined HTAP harness and prints either a human
-// summary or the JSON blob bench.sh embeds.
-func runHTAP(cfg core.HTAPConfig, asJSON bool) {
-	if cfg.Streams <= 0 {
-		cfg.Streams = 2
-	}
-	if cfg.LaptopSF <= 0.002 {
-		cfg.LaptopSF = 0.01
-	}
-	res, err := core.RunHTAP(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tpchbench:", err)
-		os.Exit(1)
-	}
-	w, a, f := res.Harness.Write, res.Harness.Analytic, res.Harness.Freshness
-	if asJSON {
-		fmt.Printf("{\"writers\": %d, \"held_rows\": %d, \"write_ops\": %d, \"write_errors\": %d, \"write_ops_per_sec\": %.1f, \"write_latency_ms\": {\"mean\": %.4f, \"stderr\": %.4f}",
-			cfg.Writers, res.Held, w.Ops, w.Errors, w.OpsPerSec, w.Latency.Mean, w.Latency.StdErr)
-		fmt.Printf(", \"streams\": %d, \"rounds\": %d, \"queries\": %d, \"qps\": %.2f, \"result_cache_hits\": %d",
-			a.Streams, a.Rounds, a.Queries, a.QPS, a.ResultCacheHits)
-		fmt.Printf(", \"freshness\": {\"max_lag_records\": %d, \"mean_lag_records\": %.1f, \"final_lag_records\": %d, \"samples\": %d, \"converts\": %d, \"converted_records\": %d, \"flushes\": %d}",
-			f.MaxLagRecords, f.MeanLagRecords, f.FinalLagRecords, f.Samples, f.Converts, f.ConvertedRecords, f.Flushes)
-		fmt.Printf(", \"final\": {\"committed\": %d, \"converted\": %d, \"lag\": %d}",
-			res.Final.CommittedRecords, res.Final.ConvertedRecords, res.Final.LagRecords)
-		fmt.Printf(", \"robustness\": {\"frames_replayed\": %d, \"truncated_bytes\": %d, \"converter_retries\": %d, \"converter_backoff_max_reached\": %d, \"corrupt_chunks\": %d, \"parts_quarantined\": %d, \"duplicate_records\": %d}",
-			res.Final.FramesReplayed, res.Final.TruncatedBytes, res.Final.ConverterRetries, res.Final.BackoffMaxReached,
-			res.Final.CorruptChunks, res.Final.PartsQuarantined, res.Final.DuplicateRecords)
-		if d := res.Durable; d != nil {
-			fmt.Printf(", \"durable\": {\"sync_policy\": %q, \"log_bytes\": %d, \"recovery_ms\": %.3f, \"frames_replayed\": %d, \"truncated_bytes\": %d, \"parts_recovered\": %d}",
-				d.SyncPolicy, d.LogBytes, d.RecoveryMS, d.FramesReplayed, d.TruncatedBytes, d.PartsRecovered)
-		}
-		fmt.Println("}")
-		return
-	}
-	fmt.Printf("HTAP: %d write client(s) replaying %d held row(s) against %d analytical stream(s) x %d round(s)\n",
-		cfg.Writers, res.Held, a.Streams, a.Rounds)
-	fmt.Printf("  writes:    %d ops (%d errors) in %v  =>  %.0f ops/sec, latency %.3f ms/op (±%.3f)\n",
-		w.Ops, w.Errors, w.Elapsed, w.OpsPerSec, w.Latency.Mean, w.Latency.StdErr)
-	fmt.Printf("  analytics: %d queries in %v  =>  %.2f queries/sec (%d result-cache hits)\n",
-		a.Queries, a.Elapsed, a.QPS, a.ResultCacheHits)
-	fmt.Printf("  freshness: lag max %d / mean %.1f records over %d samples; %d background convert(s) covered %d records; %d group-commit flushes\n",
-		f.MaxLagRecords, f.MeanLagRecords, f.Samples, f.Converts, f.ConvertedRecords, f.Flushes)
-	fmt.Printf("  final:     %d committed, %d converted, lag %d (after quiesce + convert)\n",
-		res.Final.CommittedRecords, res.Final.ConvertedRecords, res.Final.LagRecords)
-	// Robustness counters print unconditionally: "no faults" is itself
-	// the datum an operator reads off a clean run.
-	fmt.Printf("  robustness: %d frames replayed (%d B truncated), %d converter retries (%d backoff saturations), %d corrupt chunks, %d parts quarantined, %d duplicate records\n",
-		res.Final.FramesReplayed, res.Final.TruncatedBytes,
-		res.Final.ConverterRetries, res.Final.BackoffMaxReached,
-		res.Final.CorruptChunks, res.Final.PartsQuarantined, res.Final.DuplicateRecords)
-	if d := res.Durable; d != nil {
-		fmt.Printf("  durability: sync=%s log %d B; reopen replayed %d frames (%d B truncated), re-adopted %d part(s) in %.3f ms\n",
-			d.SyncPolicy, d.LogBytes, d.FramesReplayed, d.TruncatedBytes, d.PartsRecovered, d.RecoveryMS)
-	}
-}
-
-// runStreams executes the concurrent-stream harness and prints either a
-// human summary or the JSON blob bench.sh embeds.
-func runStreams(cfg core.TPCHStreamConfig, asJSON bool) {
-	res, err := core.RunTPCHStreams(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tpchbench:", err)
-		os.Exit(1)
-	}
-	if asJSON {
-		fmt.Printf("{\"streams\": %d, \"rounds\": %d, \"workers\": %d, \"pool_workers\": %d, \"queries\": %d, \"elapsed_ms\": %.1f, \"qps\": %.2f, \"topk_fusion\": %v",
-			res.Streams, res.Rounds, res.Workers, res.PoolWorkers, res.Queries,
-			float64(res.Elapsed.Microseconds())/1000, res.QPS, tpch.TopKFusion)
-		fmt.Printf(", \"result_cache_hits\": %d, \"chunk_cache\": {\"hits\": %d, \"misses\": %d, \"hit_ratio\": %.3f, \"bytes_from_cache\": %d}",
-			res.ResultCacheHits, res.Scanned.CacheHits, res.Scanned.CacheMisses,
-			res.Scanned.CacheHitRatio(), res.Scanned.BytesFromCache)
-		fmt.Print(", \"per_query_ms\": {")
-		for i, id := range res.QueryIDs() {
-			if i > 0 {
-				fmt.Print(", ")
-			}
-			fmt.Printf("\"Q%d\": %.2f", id, float64(res.PerQuery[id].Microseconds())/1000)
-		}
-		fmt.Print("}, \"per_query_sort_ms\": {")
-		for i, id := range res.QueryIDs() {
-			if i > 0 {
-				fmt.Print(", ")
-			}
-			fmt.Printf("\"Q%d\": %.2f", id, float64(res.PerQuerySort[id].Microseconds())/1000)
-		}
-		fmt.Println("}}")
-		return
-	}
-	fmt.Printf("Concurrent query streams: %d stream(s) x %d round(s), shared pool of %d worker(s), %d admitted per query\n",
-		res.Streams, res.Rounds, res.PoolWorkers, res.Workers)
-	fmt.Printf("  %d queries in %v  =>  %.2f queries/sec (topk fusion %v)\n",
-		res.Queries, res.Elapsed, res.QPS, tpch.TopKFusion)
-	fmt.Printf("  scan accounting: %d B read, %d B skipped (%.0f%% skipped)\n",
-		res.Scanned.BytesRead, res.Scanned.BytesSkipped, 100*res.Scanned.SkippedFrac())
-	fmt.Printf("  caches: %d result-cache hit(s); chunk cache %d hit / %d miss (%.0f%% hit ratio), %d B served from cache\n",
-		res.ResultCacheHits, res.Scanned.CacheHits, res.Scanned.CacheMisses,
-		100*res.Scanned.CacheHitRatio(), res.Scanned.BytesFromCache)
-	fmt.Println("  cumulative wall time per query (all streams), with sort-kernel share:")
-	for _, id := range res.QueryIDs() {
-		share := 0.0
-		if res.PerQuery[id] > 0 {
-			share = 100 * float64(res.PerQuerySort[id]) / float64(res.PerQuery[id])
-		}
-		fmt.Printf("    Q%-3d %12v   sort %5.1f%%\n", id, res.PerQuery[id], share)
-	}
 }
 
 func parseFloats(s string) ([]float64, error) {

@@ -9,13 +9,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"elephants/internal/cluster"
 	"elephants/internal/hive"
 	"elephants/internal/metrics"
 	"elephants/internal/pdw"
-	"elephants/internal/rcfile"
-	"elephants/internal/relal"
 	"elephants/internal/sim"
 	"elephants/internal/tpch"
 )
@@ -32,21 +31,11 @@ type TPCHConfig struct {
 	// Queries restricts which query IDs run (nil = all 22).
 	Queries []int
 	Seed    int64
-	// Workers sizes the functional executor's morsel worker pool
-	// (0 = GOMAXPROCS, 1 = serial). Results are identical at every
-	// setting; only host-time execution speed changes.
-	Workers int
 	// NoDict disables dictionary encoding of low-cardinality string
 	// columns in the generated dataset (tpchbench -no-dict). Answers
 	// are identical either way; host time and modeled byte widths
 	// change.
 	NoDict bool
-	// NoRLE / NoDelta disable the run-length and delta chunk encodings
-	// in the scan cost model (and any RCFile written while they are
-	// set), pinning those columns at plain/gdict widths. Answers are
-	// identical either way.
-	NoRLE   bool
-	NoDelta bool
 }
 
 func (c TPCHConfig) withDefaults() TPCHConfig {
@@ -62,94 +51,6 @@ func (c TPCHConfig) withDefaults() TPCHConfig {
 		}
 	}
 	return c
-}
-
-// TPCHStreamConfig scopes a concurrent query-stream throughput run: N
-// goroutine streams replay the 22 queries over one shared immutable DB
-// (the functional executor, host time — no cluster simulation).
-type TPCHStreamConfig struct {
-	// LaptopSF is the functional dataset scale (defaults 0.01).
-	LaptopSF float64
-	Seed     int64
-	// Streams is the number of concurrent query streams (0 = 1).
-	Streams int
-	// Rounds is how many times each stream replays the list (0 = 1).
-	Rounds int
-	// Workers sizes each query's morsel pool (0 = GOMAXPROCS).
-	Workers int
-	// Queries restricts the replayed query IDs (nil = all 22).
-	Queries []int
-	// NoDict disables dictionary encoding in the generated dataset.
-	NoDict bool
-	// NoRLE / NoDelta disable the run-length and delta chunk encodings
-	// in the written RCFiles and the scan cost model.
-	NoRLE   bool
-	NoDelta bool
-	// RCFile swaps every base-table source for an RCFile encoding, so
-	// streams scan through real compressed storage (and the chunk cache
-	// has something to serve).
-	RCFile bool
-	// GroupRows is the RCFile row-group size (0 = 4096). Only used with
-	// RCFile.
-	GroupRows int
-	// CacheMB bounds the shared decompressed-chunk cache in MiB
-	// (0 = 64). Only used with RCFile.
-	CacheMB int
-	// NoChunkCache runs RCFile scans without the shared chunk cache:
-	// every scan re-inflates its chunks.
-	NoChunkCache bool
-	// NoResultCache disables per-(query, epoch) result memoization in
-	// the stream harness.
-	NoResultCache bool
-}
-
-// applyEncodingModel points the relal scan cost model at the same
-// encoding toggles the RCFile writer gets, so modeled chunk widths and
-// written chunk layouts stay in lockstep. Returns a restore func.
-func applyEncodingModel(noRLE, noDelta bool) func() {
-	oldRLE, oldDelta := relal.ModelRLE, relal.ModelDelta
-	relal.ModelRLE, relal.ModelDelta = !noRLE, !noDelta
-	return func() { relal.ModelRLE, relal.ModelDelta = oldRLE, oldDelta }
-}
-
-// RunTPCHStreams generates the shared DB and runs the stream harness.
-func RunTPCHStreams(cfg TPCHStreamConfig) (tpch.StreamResult, error) {
-	if cfg.LaptopSF <= 0 {
-		cfg.LaptopSF = 0.01
-	}
-	defer applyEncodingModel(cfg.NoRLE, cfg.NoDelta)()
-	db := tpch.Generate(tpch.GenConfig{SF: cfg.LaptopSF, Seed: cfg.Seed, Random64: true, NoDict: cfg.NoDict})
-	if cfg.RCFile {
-		groupRows := cfg.GroupRows
-		if groupRows <= 0 {
-			groupRows = 4096
-		}
-		var cache *rcfile.ChunkCache
-		if !cfg.NoChunkCache {
-			cacheMB := cfg.CacheMB
-			if cacheMB <= 0 {
-				cacheMB = 64
-			}
-			cache = rcfile.NewChunkCache(int64(cacheMB) << 20)
-		}
-		for _, name := range tpch.TableNames {
-			src, err := rcfile.NewSourceOpts(db.Table(name), groupRows,
-				rcfile.WriterOpts{NoRLE: cfg.NoRLE, NoDelta: cfg.NoDelta})
-			if err != nil {
-				return tpch.StreamResult{}, fmt.Errorf("encode %s: %w", name, err)
-			}
-			src.SetCache(cache)
-			db.SetSource(name, src)
-		}
-	}
-	return tpch.RunStreams(db, tpch.StreamConfig{
-		Streams:       cfg.Streams,
-		Rounds:        cfg.Rounds,
-		Workers:       cfg.Workers,
-		Queries:       cfg.Queries,
-		Warmup:        true,
-		NoResultCache: cfg.NoResultCache,
-	}), nil
 }
 
 // TPCHPoint holds one system's measurements at one scale factor.
@@ -175,12 +76,6 @@ type TPCHResult struct {
 // independent, as the paper's sequential runs were.
 func RunTPCH(cfg TPCHConfig) TPCHResult {
 	cfg = cfg.withDefaults()
-	if cfg.Workers > 0 {
-		old := tpch.DefaultWorkers
-		tpch.DefaultWorkers = cfg.Workers
-		defer func() { tpch.DefaultWorkers = old }()
-	}
-	defer applyEncodingModel(cfg.NoRLE, cfg.NoDelta)()
 	db := tpch.Generate(tpch.GenConfig{SF: cfg.LaptopSF, Seed: cfg.Seed, Random64: true, NoDict: cfg.NoDict})
 	res := TPCHResult{Config: cfg}
 	for _, sf := range cfg.ScaleFactors {
@@ -225,31 +120,20 @@ func q22Breakdown(qs hive.QueryStats) map[int]sim.Duration {
 	for _, j := range qs.Jobs {
 		var sub int
 		switch {
-		case contains(j.Name, "filter"):
+		case strings.Contains(j.Name, "filter"):
 			sub = 1
-		case contains(j.Name, "agg") && !contains(j.Name, "global"):
+		case strings.Contains(j.Name, "agg") && !strings.Contains(j.Name, "global"):
 			if _, ok := out[2]; !ok && out[1] > 0 {
 				sub = 2
 			} else {
 				sub = 3
 			}
-		case contains(j.Name, "join"):
-			sub = 4
 		default:
 			sub = 4
 		}
 		out[sub] += j.Stats.Total
 	}
 	return out
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 func runPDWPoint(db *tpch.DB, sf float64, cfg TPCHConfig) TPCHPoint {

@@ -49,17 +49,11 @@ type ShardConfig struct {
 	// part files; a restart replays them via htap.Open. Empty runs the
 	// store in memory (tests that only need the wire path).
 	DataDir string
-	// Hold is the per-table count of trailing partition rows routed
-	// through the delta log instead of the base part (nil = defaults),
-	// so every shard exercises the log/replay path it recovers with.
-	Hold map[string]int
 	// Sync is the delta-log fsync policy ("" = always: each acked row
 	// is durable, so a kill at any instant loses nothing acked).
 	Sync string
 	// GroupRows is the RCF5 row-group size (0 = htap default).
 	GroupRows int
-	// Workers sizes fragment execution (0 = tpch.DefaultWorkers).
-	Workers int
 }
 
 // BuildShardDB generates the full dataset and replaces the partitioned
@@ -89,7 +83,9 @@ func BuildShardDB(cfg ShardConfig) *tpch.DB {
 }
 
 // defaultHold routes a few hundred trailing rows of each partition
-// through the delta log, clamped so small partitions stay legal.
+// through the delta log instead of the base part, so every shard
+// exercises the log/replay path it recovers with; clamped so small
+// partitions stay legal.
 func defaultHold(db *tpch.DB) map[string]int {
 	hold := make(map[string]int)
 	for name, want := range map[string]int{"orders": 150, "lineitem": 300} {
@@ -125,10 +121,7 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 		return nil, fmt.Errorf("dist: bad shard placement %d/%d", cfg.Index, cfg.Shards)
 	}
 	db := BuildShardDB(cfg)
-	hold := cfg.Hold
-	if hold == nil {
-		hold = defaultHold(db)
-	}
+	hold := defaultHold(db)
 	pol, err := delta.ParseSyncPolicy(syncOrDefault(cfg.Sync))
 	if err != nil {
 		return nil, err
@@ -301,12 +294,7 @@ func (s *Shard) handleFragment(req Request) Response {
 	if !ok {
 		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown fragment %d", req.FragID)}
 	}
-	workers := s.cfg.Workers
-	if workers == 0 {
-		workers = tpch.DefaultWorkers
-	}
-	e := &relal.Exec{Parallelism: workers}
-	part := frag.Partial(e, s.db)
+	part := frag.Partial(&relal.Exec{}, s.db)
 	return s.tableResponse(part, relal.ScanStats{})
 }
 
@@ -318,7 +306,7 @@ func (s *Shard) tableResponse(t *relal.Table, stats relal.ScanStats) Response {
 	if resp.Rows == 0 {
 		return resp
 	}
-	data, err := rcfile.NewWriterOpts(s.cfg.GroupRows, rcfile.WriterOpts{}).Write(t)
+	data, err := rcfile.NewWriter(s.cfg.GroupRows).Write(t)
 	if err != nil {
 		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("encode %s: %v", t.Name, err)}
 	}

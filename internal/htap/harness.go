@@ -18,13 +18,10 @@ import (
 type HarnessConfig struct {
 	// Writers is the number of closed-loop write clients (0 = 1).
 	Writers int
-	// TargetOps throttles aggregate write throughput (0 = unthrottled).
-	TargetOps float64
-	// Streams/Rounds/Workers/Queries/NoResultCache parameterize the
-	// analytical side exactly as tpch.StreamConfig does.
-	Streams, Rounds, Workers int
-	Queries                  []int
-	NoResultCache            bool
+	// Streams/Rounds/Queries parameterize the analytical side exactly
+	// as tpch.StreamConfig does.
+	Streams, Rounds int
+	Queries         []int
 	// SampleEvery is the freshness sampling interval (0 = 1ms).
 	SampleEvery time.Duration
 }
@@ -111,8 +108,7 @@ func Run(store *Store, db *tpch.DB, cfg HarnessConfig) (HarnessResult, error) {
 	writeDone := make(chan ycsb.WriteStreamResult, 1)
 	go func() {
 		writeDone <- ycsb.RunWriteStream(len(ops), ycsb.WriteStreamConfig{
-			Clients:   cfg.Writers,
-			TargetOps: cfg.TargetOps,
+			Clients: cfg.Writers,
 		}, func(i int) error {
 			_, err := store.AppendBSON(ops[i].table, ops[i].pos, ops[i].bson)
 			return err
@@ -120,11 +116,9 @@ func Run(store *Store, db *tpch.DB, cfg HarnessConfig) (HarnessResult, error) {
 	}()
 
 	analytic := tpch.RunStreams(db, tpch.StreamConfig{
-		Streams:       cfg.Streams,
-		Rounds:        cfg.Rounds,
-		Workers:       cfg.Workers,
-		Queries:       cfg.Queries,
-		NoResultCache: cfg.NoResultCache,
+		Streams: cfg.Streams,
+		Rounds:  cfg.Rounds,
+		Queries: cfg.Queries,
 	})
 	write := <-writeDone
 

@@ -79,8 +79,6 @@ type Config struct {
 	RCFile bool
 	// GroupRows is the RCF4 row-group size (0 = 4096). Used with RCFile.
 	GroupRows int
-	// WriterOpts carries the RCF4 encoding toggles. Used with RCFile.
-	WriterOpts rcfile.WriterOpts
 	// Cache, when non-nil, serves decoded chunks of the RCF4 parts.
 	Cache *rcfile.ChunkCache
 	// ConvertRows is the tail size at which the background converter
@@ -395,7 +393,7 @@ func (s *Store) buildSource(t *relal.Table) (relal.Source, *rcfile.Source, error
 	if !s.cfg.RCFile {
 		return relal.NewTableSource(t), nil, nil
 	}
-	src, err := rcfile.NewSourceOpts(t, s.cfg.GroupRows, s.cfg.WriterOpts)
+	src, err := rcfile.NewSource(t, s.cfg.GroupRows)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -93,15 +93,6 @@ func (c *ChunkCache) Stats() (hits, misses int64) {
 	return c.lru.Stats()
 }
 
-// HitRatio returns hits/(hits+misses), or 0 before any lookup.
-func (c *ChunkCache) HitRatio() float64 {
-	hits, misses := c.Stats()
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
 // UsedBytes returns the resident decoded bytes.
 func (c *ChunkCache) UsedBytes() int64 {
 	c.mu.Lock()

@@ -82,8 +82,8 @@ const (
 // EncNames names the chunk encodings, indexed by enc byte (tooling).
 var EncNames = [numEncs]string{"plain", "gdict", "gdict+rle", "rle", "delta"}
 
-// WriterOpts disables individual encodings (the -no-rle / -no-delta
-// escape hatches). Plain and gdict are always available.
+// WriterOpts disables individual encodings, so tests can force the
+// plain/gdict fallback. Plain and gdict are always available.
 type WriterOpts struct {
 	NoRLE   bool // never emit enc 2 or enc 3 chunks
 	NoDelta bool // never emit enc 4 chunks

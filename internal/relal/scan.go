@@ -267,16 +267,6 @@ func (s ScanStats) SkippedFrac() float64 {
 	return float64(s.BytesSkipped) / float64(tot)
 }
 
-// CacheHitRatio returns CacheHits/(CacheHits+CacheMisses), or 0 before
-// any cached lookup (including the no-cache configuration).
-func (s ScanStats) CacheHitRatio() float64 {
-	tot := s.CacheHits + s.CacheMisses
-	if tot == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(tot)
-}
-
 // Add accumulates other into s. Plain field addition — for accumulation
 // across goroutines (streams sharing one Source) use ScanCounter.
 func (s *ScanStats) Add(other ScanStats) {
@@ -385,16 +375,6 @@ type tableScanInfo struct {
 	zones     [][]ZoneMap // per group, per column
 	bytes     [][]int64   // per group, per column: encoded chunk bytes
 }
-
-// ModelRLE/ModelDelta gate whether the in-memory scan model charges
-// the RLE and delta/frame-of-reference chunk encodings when they beat
-// plain — mirroring the RCF4 writer's adaptive choice. The -no-rle /
-// -no-delta escape hatches in the CLI tools clear them at process
-// start (they are plain package variables, not synchronized).
-var (
-	ModelRLE   = true
-	ModelDelta = true
-)
 
 // encodedCellBytes returns the chunk encoding width of one cell: 8 for
 // numerics, 4-byte length prefix plus the bytes for strings (the rcfile
@@ -527,10 +507,8 @@ func computeScanInfo(t *Table, groupRows int) *tableScanInfo {
 				// share of the file-global dictionary.
 				w := FORWidth(uint64(zs[c].CodeMax - zs[c].CodeMin))
 				best := GDictChunkBytes(rows, w)
-				if ModelRLE {
-					if rle := GDictRLEChunkBytes(runCountIn(v, lo, hi), w); rle < best {
-						best = rle
-					}
+				if rle := GDictRLEChunkBytes(runCountIn(v, lo, hi), w); rle < best {
+					best = rle
 				}
 				var plain int64
 				codes := v.Flat().Dict
@@ -549,17 +527,15 @@ func computeScanInfo(t *Table, groupRows int) *tableScanInfo {
 				bs[c] = b
 			default:
 				best := 8 * int64(rows)
-				if v.Kind == Int && ModelDelta {
+				if v.Kind == Int {
 					if w := FORWidth(uint64(zs[c].IntMax) - uint64(zs[c].IntMin)); w < 8 {
 						if fb := DeltaChunkBytes(rows, w); fb < best {
 							best = fb
 						}
 					}
 				}
-				if ModelRLE {
-					if rle := RLEChunkBytes(runCountIn(v, lo, hi)); rle < best {
-						best = rle
-					}
+				if rle := RLEChunkBytes(runCountIn(v, lo, hi)); rle < best {
+					best = rle
 				}
 				bs[c] = best
 			}

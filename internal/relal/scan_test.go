@@ -57,10 +57,6 @@ func TestZonePredicateUnknownColumnCannotPrune(t *testing.T) {
 }
 
 func TestTableSourceStats(t *testing.T) {
-	// Pin the plain cost model: these expectations are the unencoded
-	// widths (sequential keys would otherwise model as delta chunks).
-	defer func(r, d bool) { ModelRLE, ModelDelta = r, d }(ModelRLE, ModelDelta)
-	ModelRLE, ModelDelta = false, false
 	n := 3 * DefaultScanGroupRows / 2 // two virtual groups
 	keys := make([]int64, n)
 	tags := make([]string, n)
@@ -79,7 +75,12 @@ func TestTableSourceStats(t *testing.T) {
 	if out != tb {
 		t.Fatal("in-memory source must return the table itself")
 	}
-	wantTotal := int64(n)*8 + int64(n)*7
+	// The sequential keys model as one delta chunk per group; each
+	// group's span is its row count minus one.
+	g := DefaultScanGroupRows
+	keyBytes := DeltaChunkBytes(g, FORWidth(uint64(g-1))) +
+		DeltaChunkBytes(n-g, FORWidth(uint64(n-g-1)))
+	wantTotal := keyBytes + int64(n)*7
 	if stats.BytesRead != wantTotal || stats.BytesSkipped != 0 {
 		t.Errorf("full scan stats = %+v, want read=%d", stats, wantTotal)
 	}
@@ -89,7 +90,7 @@ func TestTableSourceStats(t *testing.T) {
 
 	// Column subset: the string column's bytes are skipped.
 	_, stats = src.ScanTable([]string{"k"}, nil)
-	if stats.BytesRead != int64(n)*8 || stats.BytesSkipped != int64(n)*7 {
+	if stats.BytesRead != keyBytes || stats.BytesSkipped != int64(n)*7 {
 		t.Errorf("subset stats = %+v", stats)
 	}
 
@@ -112,8 +113,6 @@ func TestTableSourceStats(t *testing.T) {
 }
 
 func TestScanSourceLogsStats(t *testing.T) {
-	defer func(r, d bool) { ModelRLE, ModelDelta = r, d }(ModelRLE, ModelDelta)
-	ModelRLE, ModelDelta = false, false
 	tb := NewTable("base", Schema{{Name: "k", Type: Int}},
 		IntsV([]int64{1, 2, 3}))
 	e := &Exec{}
@@ -128,8 +127,9 @@ func TestScanSourceLogsStats(t *testing.T) {
 	if st.Kind != StepScan || st.LeftBase != "base" {
 		t.Errorf("step = %+v", st)
 	}
-	if st.ScanBytesRead != 24 || st.ScanBytesSkipped != 0 {
-		t.Errorf("scan bytes = %d/%d, want 24/0", st.ScanBytesRead, st.ScanBytesSkipped)
+	// Keys 1..3 span 2: a one-byte delta chunk beats 24 plain bytes.
+	if want := DeltaChunkBytes(3, FORWidth(2)); st.ScanBytesRead != want || st.ScanBytesSkipped != 0 {
+		t.Errorf("scan bytes = %d/%d, want %d/0", st.ScanBytesRead, st.ScanBytesSkipped, want)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 // scan really decompresses chunks per query, so the dict=off runs pay
 // the per-row string materialization the paper's RCFile burned CPU on,
 // while dict=on decodes only dictionaries and packed codes.
-// scripts/bench.sh embeds ns/op and allocs/op in BENCH_PR5.json.
 func BenchmarkTPCHDictQuery(b *testing.B) {
 	for _, dict := range []bool{true, false} {
 		db := Generate(GenConfig{SF: 0.01, Seed: 1, Random64: true, NoDict: !dict})

@@ -46,7 +46,7 @@ func TestDictOffMatchesGolden(t *testing.T) {
 		t.Skip("golden file missing")
 	}
 	db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true, NoDict: true})
-	diffGolden(t, goldenSnapshotOf(db), string(want))
+	diffGolden(t, goldenSnapshotOf(db, 0), string(want))
 }
 
 // TestDictGoldenOverRCFileParallel is the acceptance matrix for the
@@ -64,10 +64,7 @@ func TestDictGoldenOverRCFileParallel(t *testing.T) {
 	if !li.Cols[li.Schema.Col("l_returnflag")].IsDict() {
 		t.Fatal("precondition: dict generation should be on by default")
 	}
-	old := DefaultWorkers
-	DefaultWorkers = 3
-	defer func() { DefaultWorkers = old }()
-	diffGolden(t, goldenSnapshotOf(db), string(want))
+	diffGolden(t, goldenSnapshotOf(db, 3), string(want))
 }
 
 // TestDictShrinksRCFileLineitem: the on-disk acceptance criterion —

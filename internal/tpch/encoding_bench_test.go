@@ -14,7 +14,6 @@ import (
 // sorted-data layout, where the date columns collapse to gdict+rle and
 // the run-aware Where/Aggregate kernels see long runs). enc=off writes
 // the same data plain/gdict and pins the fallback cost.
-// scripts/bench.sh embeds ns/op and allocs/op in BENCH_PR7.json.
 func BenchmarkTPCHEncQuery(b *testing.B) {
 	for _, clustered := range []bool{false, true} {
 		cfg := GenConfig{SF: 0.01, Seed: 1, Random64: true}

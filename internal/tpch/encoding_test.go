@@ -42,11 +42,8 @@ func TestEncodingGoldenOverRCFileParallel(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true})
 			attachRCFileOpts(t, db, 1024, tc.opts)
-			old := DefaultWorkers
-			defer func() { DefaultWorkers = old }()
 			for _, workers := range []int{1, 3} {
-				DefaultWorkers = workers
-				diffGolden(t, goldenSnapshotOf(db), string(want))
+				diffGolden(t, goldenSnapshotOf(db, workers), string(want))
 			}
 		})
 	}
@@ -64,10 +61,7 @@ func TestEncodingClusteredAnswersAgree(t *testing.T) {
 	snap := func(opts rcfile.WriterOpts, workers int) string {
 		db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true, ClusterBy: "l_shipdate"})
 		attachRCFileOpts(t, db, 1024, opts)
-		old := DefaultWorkers
-		DefaultWorkers = workers
-		defer func() { DefaultWorkers = old }()
-		return goldenSnapshotOf(db)
+		return goldenSnapshotOf(db, workers)
 	}
 	want := snap(rcfile.WriterOpts{NoRLE: true, NoDelta: true}, 1)
 	for _, workers := range []int{1, 3} {

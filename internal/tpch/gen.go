@@ -264,12 +264,10 @@ type GenConfig struct {
 	// overflow and go negative — the dbgen bug the paper found at the
 	// 16 TB scale factor and fixed with RANDOM64.
 	Random64 bool
-	// DictColumns names the Str columns to dictionary-encode after
-	// generation (nil = DefaultDictColumns). NoDict disables the
-	// encoding entirely — the `-no-dict` escape hatch in dbgen and
-	// tpchbench — leaving every Str column as raw []string.
-	DictColumns []string
-	NoDict      bool
+	// NoDict disables dictionary encoding of DefaultDictColumns — the
+	// `-no-dict` escape hatch in dbgen and tpchbench — leaving every
+	// Str column as raw []string.
+	NoDict bool
 	// ClusterBy names a column to cluster on (e.g. "l_shipdate"): the
 	// base table owning it is rewritten in stable col-sorted order after
 	// generation, before any RCFile encoding. Zone maps only prune when
@@ -296,11 +294,7 @@ func Generate(cfg GenConfig) *DB {
 	db.PartSupp = genPartSupp(cfg, rng)
 	db.Orders, db.Lineitem = genOrdersLineitem(cfg, rng)
 	if !cfg.NoDict {
-		cols := cfg.DictColumns
-		if cols == nil {
-			cols = DefaultDictColumns
-		}
-		db.encodeDictColumns(cols)
+		db.encodeDictColumns(DefaultDictColumns)
 	}
 	if cfg.ClusterBy != "" {
 		if _, err := db.Cluster(cfg.ClusterBy); err != nil {

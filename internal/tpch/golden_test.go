@@ -15,13 +15,15 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/tpch_golden.txt 
 const goldenSF = 0.005
 
 func goldenSnapshot() string {
-	return goldenSnapshotOf(Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true}))
+	return goldenSnapshotOf(Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true}), 0)
 }
 
-func goldenSnapshotOf(db *DB) string {
+// goldenSnapshotOf formats all 22 answers over db, each query run on a
+// pool of workers (0 = GOMAXPROCS).
+func goldenSnapshotOf(db *DB, workers int) string {
 	var b strings.Builder
 	for _, q := range Queries {
-		out, _ := RunQuery(q.ID, db)
+		out, _ := RunQueryWorkers(q.ID, db, workers)
 		b.WriteString(FormatAnswer(q.ID, out))
 	}
 	return b.String()
@@ -68,18 +70,18 @@ func diffGolden(t *testing.T, got, want string) {
 // TestGoldenAnswersParallel locks the morsel-parallel kernels to the
 // same snapshot: every worker-pool size must reproduce the golden file
 // byte-for-byte (deterministic merge order, row-order accumulation).
+// The pool sizes run concurrently over one shared DB, so under -race
+// this also checks that nothing on the query path is process-global.
 func TestGoldenAnswersParallel(t *testing.T) {
 	want, err := os.ReadFile("testdata/tpch_golden.txt")
 	if err != nil {
 		t.Skip("golden file missing")
 	}
-	for _, workers := range []int{2, 5} {
-		old := DefaultWorkers
-		DefaultWorkers = workers
-		got := goldenSnapshot()
-		DefaultWorkers = old
+	db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true})
+	for _, workers := range []int{1, 2, 5} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			diffGolden(t, got, string(want))
+			t.Parallel()
+			diffGolden(t, goldenSnapshotOf(db, workers), string(want))
 		})
 	}
 }

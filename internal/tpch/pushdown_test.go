@@ -43,7 +43,7 @@ func TestAllQueriesMatchGoldenOverRCFile(t *testing.T) {
 		t.Skip("golden file missing")
 	}
 	db := rcfileDB(t, goldenSF, 1024)
-	diffGolden(t, goldenSnapshotOf(db), string(want))
+	diffGolden(t, goldenSnapshotOf(db, 0), string(want))
 }
 
 // TestRCFileParallelMatchesGolden combines both halves of the scan
@@ -55,10 +55,7 @@ func TestRCFileParallelMatchesGolden(t *testing.T) {
 		t.Skip("golden file missing")
 	}
 	db := rcfileDB(t, goldenSF, 1024)
-	old := DefaultWorkers
-	DefaultWorkers = 4
-	defer func() { DefaultWorkers = old }()
-	diffGolden(t, goldenSnapshotOf(db), string(want))
+	diffGolden(t, goldenSnapshotOf(db, 4), string(want))
 }
 
 // lineitemScanStats sums the scan-step byte accounting for lineitem in

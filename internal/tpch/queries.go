@@ -48,28 +48,6 @@ var Queries = []Query{
 	{22, "global sales opportunity", []string{"customer", "orders"}},
 }
 
-// DefaultWorkers sizes the morsel worker pool RunQuery executes with
-// (0 = GOMAXPROCS, 1 = serial). cmd/tpchbench's -workers flag sets it
-// once at startup; results are identical at every setting.
-var DefaultWorkers int
-
-// TopKFusion selects the fused Exec.TopK operator for the bounded
-// ORDER BY ... LIMIT queries (Q2/Q3/Q10/Q18/Q21). Off, the same call
-// sites run the unfused Sort+Limit pair; answers and step logs are
-// identical either way (see TestTopKFusionMatchesSortLimit), so the
-// toggle exists for differential testing and for bench.sh's
-// before/after measurement. cmd/tpchbench's -no-topk flag clears it.
-var TopKFusion = true
-
-// topK is the Limit-after-Sort query tail: the fused bounded-heap
-// operator by default, the unfused pair when fusion is disabled.
-func topK(e *relal.Exec, t *relal.Table, k int, keys ...relal.OrderSpec) *relal.Table {
-	if !TopKFusion {
-		return e.Limit(e.Sort(t, keys...), k)
-	}
-	return e.TopK(t, k, keys...)
-}
-
 // scan is the pushdown-aware base-table scan every query goes through:
 // cols declares the columns the query references from the table and
 // conds its sargable predicate, so a columnar source decompresses only
@@ -81,9 +59,10 @@ func scan(e *relal.Exec, db *DB, table string, cols []string, conds ...relal.Zon
 }
 
 // RunQuery executes query id against db, returning the answer and the
-// step log. It panics on unknown ids (callers iterate Queries).
+// step log, on a worker pool of GOMAXPROCS. It panics on unknown ids
+// (callers iterate Queries).
 func RunQuery(id int, db *DB) (*relal.Table, relal.StepLog) {
-	return RunQueryWorkers(id, db, DefaultWorkers)
+	return RunQueryWorkers(id, db, 0)
 }
 
 // RunQueryWorkers executes query id with an explicit worker-pool size.
@@ -214,7 +193,7 @@ func q2(e *relal.Exec, db *DB) *relal.Table {
 		return cost.Get(i) == minIdx[ppk.Get(i)]
 	})
 	proj := e.Project(final, "s_acctbal", "s_name", "n_name", "p_partkey", "p_mfgr", "s_address", "s_phone", "s_comment")
-	return topK(e, proj, 100,
+	return e.TopK(proj, 100,
 		relal.OrderSpec{Col: "s_acctbal", Desc: true},
 		relal.OrderSpec{Col: "n_name"},
 		relal.OrderSpec{Col: "s_name"},
@@ -241,7 +220,7 @@ func q3(e *relal.Exec, db *DB) *relal.Table {
 	agg := e.Aggregate(col, []string{"l_orderkey", "o_orderdate", "o_shippriority"}, []relal.AggSpec{
 		{Fn: "sum", Col: "revenue_item", As: "revenue"},
 	})
-	return topK(e, agg, 10,
+	return e.TopK(agg, 10,
 		relal.OrderSpec{Col: "revenue", Desc: true},
 		relal.OrderSpec{Col: "o_orderdate"},
 	)
@@ -469,7 +448,7 @@ func q10(e *relal.Exec, db *DB) *relal.Table {
 	agg := e.Aggregate(locn, []string{"c_custkey", "c_name", "c_acctbal", "c_phone", "n_name", "c_address", "c_comment"}, []relal.AggSpec{
 		{Fn: "sum", Col: "rev", As: "revenue"},
 	})
-	return topK(e, agg, 20, relal.OrderSpec{Col: "revenue", Desc: true})
+	return e.TopK(agg, 20, relal.OrderSpec{Col: "revenue", Desc: true})
 }
 
 // q11: important stock in GERMANY.
@@ -729,7 +708,7 @@ func q18(e *relal.Exec, db *DB) *relal.Table {
 		[]string{"o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"}), "l_orderkey", "o_orderkey")
 	boc := e.Join(bo, scan(e, db, "customer", []string{"c_custkey", "c_name"}), "o_custkey", "c_custkey")
 	proj := e.Project(boc, "c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty")
-	return topK(e, proj, 100,
+	return e.TopK(proj, 100,
 		relal.OrderSpec{Col: "o_totalprice", Desc: true},
 		relal.OrderSpec{Col: "o_orderdate"},
 	)
@@ -859,7 +838,7 @@ func q21(e *relal.Exec, db *DB) *relal.Table {
 	agg := e.Aggregate(dedup, []string{"s_name"}, []relal.AggSpec{
 		{Fn: "count", Col: "*", As: "numwait"},
 	})
-	return topK(e, agg, 100,
+	return e.TopK(agg, 100,
 		relal.OrderSpec{Col: "numwait", Desc: true},
 		relal.OrderSpec{Col: "s_name"},
 	)

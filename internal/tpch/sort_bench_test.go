@@ -8,8 +8,7 @@ import (
 // BenchmarkTPCHSortQuery times the three sort-tailed query shapes the
 // parallel sort moves most — Q1 (wide aggregate then full sort), Q3
 // (join-heavy top-10) and Q10 (aggregate-heavy top-20) — at pool size 1
-// vs GOMAXPROCS. scripts/bench.sh records the ratio in BENCH_PR4.json;
-// on a 1-core host the speedup is ≈1 by construction.
+// vs GOMAXPROCS. On a 1-core host the speedup is ≈1 by construction.
 func BenchmarkTPCHSortQuery(b *testing.B) {
 	db := Generate(GenConfig{SF: 0.01, Seed: 1, Random64: true})
 	for _, id := range []int{1, 3, 10} {

@@ -8,8 +8,8 @@ import (
 
 // BenchmarkTPCHJoinQuery times the two join-heaviest queries (Q3's
 // customer⋈orders⋈lineitem chain, Q9's five-way profit join) at pool
-// size 1 vs GOMAXPROCS. scripts/bench.sh records the ratio in
-// BENCH_PR3.json; on a 1-core host the speedup is ≈1 by construction.
+// size 1 vs GOMAXPROCS. On a 1-core host the speedup is ≈1 by
+// construction.
 func BenchmarkTPCHJoinQuery(b *testing.B) {
 	db := Generate(GenConfig{SF: 0.01, Seed: 1, Random64: true})
 	for _, id := range []int{3, 9} {
