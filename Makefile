@@ -40,10 +40,11 @@ crash:
 # {1,2,4} over the wire, fragment-vs-scan differential, injected network
 # faults (drop/truncate/duplicate/reset/delay), kill + restart of shard
 # OS processes mid-stream, typed ErrPartial on outage — under -race —
-# plus a network-fault fuzz smoke (CI's `dist` job).
+# plus network-fault and vector-codec fuzz smokes (CI's `dist` job).
 dist:
 	$(GO) test -race -run 'Dist|NetFault' ./...
 	$(GO) test -run xxx -fuzz FuzzNetFault -fuzztime 15s ./internal/dist/
+	$(GO) test -run xxx -fuzz FuzzDecodeVectors -fuzztime 15s ./internal/dist/
 
 # Short fuzz runs over the join key-partitioning, sort/top-K, RCF4
 # dict-chunk and RLE/delta-chunk round-trips, chunk-cache key/eviction

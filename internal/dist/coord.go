@@ -13,7 +13,6 @@ import (
 
 	"elephants/internal/fault"
 	"elephants/internal/metrics"
-	"elephants/internal/rcfile"
 	"elephants/internal/relal"
 	"elephants/internal/tpch"
 )
@@ -236,18 +235,11 @@ func (c *Coordinator) runFragment(frag tpch.Fragment) (*relal.Table, error) {
 	return frag.Merge(&relal.Exec{}, parts), nil
 }
 
-// decodeTable turns a wire response back into a table; the RCF5 decode
-// re-verifies every chunk checksum, so a frame that passed the CRC but
-// carries damaged columns still cannot reach a plan.
+// decodeTable turns a wire response's vector body back into a table.
+// decodeVectors rejects any body whose lengths, codes or runs do not
+// add up, so damage the frame CRC missed still cannot reach a plan.
 func decodeTable(resp Response, name string) (*relal.Table, error) {
-	if resp.Rows == 0 || len(resp.Data) == 0 {
-		return relal.NewTable(name, resp.Schema), nil
-	}
-	src, err := rcfile.NewSourceFromBytes(resp.Data, resp.Schema, name)
-	if err != nil {
-		return nil, fmt.Errorf("decode shard %d response: %w", resp.Shard, err)
-	}
-	t, _, err := src.TryScan(nil, nil)
+	t, err := decodeVectors(name, resp.Schema, resp.Rows, resp.body)
 	if err != nil {
 		return nil, fmt.Errorf("decode shard %d response: %w", resp.Shard, err)
 	}
@@ -547,7 +539,7 @@ func (c *Coordinator) Health(i int) (map[string]int64, error) {
 
 // distSource is the relal.Source a partitioned table scans through on
 // the coordinator: scatter the (column, predicate) request, decode each
-// shard's surviving rows, and splice them back into global row order on
+// shard's surviving rows, and merge them back into global row order on
 // the hidden position column. Pruning stays conservative (a shard may
 // return rows its groups couldn't rule out) and plans re-apply their
 // exact filters, so the reassembled scan is answer-equivalent to the
@@ -587,18 +579,57 @@ func (d *distSource) ScanTable(cols []string, pred relal.ZonePredicate) (*relal.
 		}
 		parts = append(parts, t)
 	}
-	e := &relal.Exec{Parallelism: 1}
-	merged := relal.Concat(d.table, schema, parts...)
-	ordered := e.Sort(merged, relal.OrderSpec{Col: PosCol})
+	order, err := mergeByPos(parts)
+	if err != nil {
+		panic(err)
+	}
+	ordered := relal.Take(relal.Concat(d.table, schema, parts...), d.table, order)
 	keep := make([]string, 0, len(schema)-1)
 	for _, col := range schema {
 		if col.Name != PosCol {
 			keep = append(keep, col.Name)
 		}
 	}
+	e := &relal.Exec{Parallelism: 1}
 	out := e.Project(ordered, keep...).Compacted()
 	out.Name = d.table
 	return out, stats
+}
+
+// mergeByPos returns the row order that interleaves the shards' parts
+// by global position, as indices into their concatenation. Every part
+// arrives strictly _pos-ascending, so a k-way merge of the heads
+// replaces a sort; a position that does not climb past the previous
+// one means a shard broke that contract and becomes a *PartialError,
+// not a silent reorder.
+func mergeByPos(parts []*relal.Table) ([]int32, error) {
+	pos := make([][]int64, len(parts))
+	base := make([]int32, len(parts))
+	next := make([]int, len(parts))
+	total := 0
+	for i, p := range parts {
+		pos[i] = p.Cols[p.Schema.Col(PosCol)].Flat().Ints
+		base[i] = int32(total)
+		total += len(pos[i])
+	}
+	order := make([]int32, total)
+	last := int64(-1)
+	for k := range order {
+		best := -1
+		for i := range pos {
+			if next[i] < len(pos[i]) && (best < 0 || pos[i][next[i]] < pos[best][next[best]]) {
+				best = i
+			}
+		}
+		p := pos[best][next[best]]
+		if p <= last {
+			return nil, &PartialError{Shard: best, Err: fmt.Errorf("%s %d at row %d does not follow %d", PosCol, p, next[best], last)}
+		}
+		order[k] = base[best] + int32(next[best])
+		next[best]++
+		last = p
+	}
+	return order, nil
 }
 
 // addStats accumulates per-shard scan accounting into the gather's

@@ -9,7 +9,6 @@ import (
 	"elephants/internal/delta"
 	"elephants/internal/fault"
 	"elephants/internal/htap"
-	"elephants/internal/rcfile"
 	"elephants/internal/relal"
 	"elephants/internal/shard"
 	"elephants/internal/tpch"
@@ -249,10 +248,10 @@ func (s *Shard) handleConn(conn net.Conn) {
 		if req.DeadlineMS > 0 {
 			conn.SetDeadline(time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond))
 		}
-		resp := s.handle(req)
-		out, err := EncodeResponse(resp)
+		resp, t := s.handle(req)
+		out, err := EncodeResponse(resp, t)
 		if err != nil {
-			out, _ = EncodeResponse(Response{Shard: s.cfg.Index, Err: err.Error()})
+			out, _ = EncodeResponse(Response{Shard: s.cfg.Index, Err: err.Error()}, nil)
 		}
 		if err := WriteFrame(conn, out); err != nil {
 			return
@@ -260,56 +259,33 @@ func (s *Shard) handleConn(conn net.Conn) {
 	}
 }
 
-// handle dispatches one request. Shard-side panics (corrupt source,
-// schema misuse) become typed wire errors instead of killing the
-// process — a shard must degrade to "this request failed", not die.
-func (s *Shard) handle(req Request) (resp Response) {
+// handle dispatches one request and returns the response header plus
+// the result table its body carries (nil for ops without one).
+// Shard-side panics (corrupt source, schema misuse) become typed wire
+// errors instead of killing the process — a shard must degrade to
+// "this request failed", not die.
+func (s *Shard) handle(req Request) (resp Response, t *relal.Table) {
 	defer func() {
 		if r := recover(); r != nil {
-			resp = Response{Shard: s.cfg.Index, Err: fmt.Sprintf("shard %d: %v", s.cfg.Index, r)}
+			resp, t = Response{Shard: s.cfg.Index, Err: fmt.Sprintf("shard %d: %v", s.cfg.Index, r)}, nil
 		}
 	}()
 	switch req.Op {
 	case OpScan:
-		return s.handleScan(req)
+		t, stats := s.db.Src(req.Table).ScanTable(req.Cols, req.Pred)
+		return Response{Shard: s.cfg.Index, Stats: stats}, t
 	case OpFragment:
-		return s.handleFragment(req)
+		frag, ok := tpch.Fragments[req.FragID]
+		if !ok {
+			return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown fragment %d", req.FragID)}, nil
+		}
+		return Response{Shard: s.cfg.Index}, frag.Partial(&relal.Exec{}, s.db)
 	case OpHealth:
 		next := make(map[string]int64)
 		for name := range PartitionedTables {
 			next[name] = s.store.NextPos(name)
 		}
-		return Response{Shard: s.cfg.Index, NextPos: next}
+		return Response{Shard: s.cfg.Index, NextPos: next}, nil
 	}
-	return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown op %d", req.Op)}
-}
-
-func (s *Shard) handleScan(req Request) Response {
-	t, stats := s.db.Src(req.Table).ScanTable(req.Cols, req.Pred)
-	return s.tableResponse(t, stats)
-}
-
-func (s *Shard) handleFragment(req Request) Response {
-	frag, ok := tpch.Fragments[req.FragID]
-	if !ok {
-		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown fragment %d", req.FragID)}
-	}
-	part := frag.Partial(&relal.Exec{}, s.db)
-	return s.tableResponse(part, relal.ScanStats{})
-}
-
-// tableResponse ships a result table as RCF5 bytes — the same encoder
-// the shard's own parts use, so the wire format inherits the per-chunk
-// checksums and the coordinator's decoder verifies them end to end.
-func (s *Shard) tableResponse(t *relal.Table, stats relal.ScanStats) Response {
-	resp := Response{Shard: s.cfg.Index, Schema: t.Schema, Rows: t.NumRows(), Stats: stats}
-	if resp.Rows == 0 {
-		return resp
-	}
-	data, err := rcfile.NewWriter(s.cfg.GroupRows).Write(t)
-	if err != nil {
-		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("encode %s: %v", t.Name, err)}
-	}
-	resp.Data = data
-	return resp
+	return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown op %d", req.Op)}, nil
 }

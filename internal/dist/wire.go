@@ -54,29 +54,33 @@ type Request struct {
 	DeadlineMS int64
 }
 
-// Response is one shard→coordinator message.
+// Response is one shard→coordinator message. On the wire it is
+// u32 header length | gob header | vector body: the gob header carries
+// the fields below and the body carries the result table as raw column
+// vectors (vecwire.go), kept out of gob so it is never copied.
 type Response struct {
 	// Err, when non-empty, is the shard-side failure; the payload
 	// fields are meaningless.
 	Err string
 	// Shard echoes the responding shard's index.
 	Shard int
-	// Schema and Rows describe the returned table; Data is its RCF5
-	// encoding (nil when Rows is 0 — an empty table round-trips as
-	// schema only).
+	// Schema and Rows describe the result table the body encodes.
 	Schema relal.Schema
 	Rows   int
-	Data   []byte
 	// Stats is the shard-local scan accounting (OpScan only).
 	Stats relal.ScanStats
 	// NextPos maps held tables to their next delta-log position
 	// (OpHealth only) — the recovery-completeness witness.
 	NextPos map[string]int64
+
+	// body is the encoded result table, a subslice of the payload
+	// DecodeResponse was given (empty when no table was sent).
+	body []byte
 }
 
 // maxFrame bounds a frame payload; anything larger is a protocol error,
-// not a real message (the whole SF-0.005 lineitem encodes to well under
-// a megabyte).
+// not a real message (a full SF-0.005 lineitem scan, every column plus
+// _pos as raw vectors, is about 4.0 MB — 64× under the bound).
 const maxFrame = 1 << 28
 
 // WriteFrame writes one length-framed, CRC-trailed message:
@@ -136,18 +140,44 @@ func DecodeRequest(data []byte) (Request, error) {
 	return req, err
 }
 
-// EncodeResponse gob-encodes a response for framing.
-func EncodeResponse(resp Response) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
+// EncodeResponse encodes resp, plus t as its vector body when t is
+// non-nil (Schema and Rows are then taken from t). The payload is
+// built in one buffer of exactly its final size.
+func EncodeResponse(resp Response, t *relal.Table) ([]byte, error) {
+	if t != nil {
+		t = t.Compacted()
+		resp.Schema, resp.Rows = t.Schema, t.NumRows()
+	}
+	var hdr bytes.Buffer
+	if err := gob.NewEncoder(&hdr).Encode(resp); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	size := 4 + hdr.Len()
+	if t != nil {
+		size += vectorsSize(t)
+	}
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(hdr.Len()))
+	out = append(out, hdr.Bytes()...)
+	if t != nil {
+		out = appendVectors(out, t)
+	}
+	return out, nil
 }
 
-// DecodeResponse inverts EncodeResponse.
+// DecodeResponse inverts EncodeResponse. The body stays a subslice of
+// data; decodeTable turns it into a table.
 func DecodeResponse(data []byte) (Response, error) {
 	var resp Response
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&resp)
-	return resp, err
+	if len(data) < 4 {
+		return resp, fmt.Errorf("dist: response of %d bytes has no header length", len(data))
+	}
+	n := binary.LittleEndian.Uint32(data)
+	if uint64(n) > uint64(len(data)-4) {
+		return resp, fmt.Errorf("dist: response header of %d bytes overruns a %d-byte payload", n, len(data))
+	}
+	if err := gob.NewDecoder(bytes.NewReader(data[4 : 4+n])).Decode(&resp); err != nil {
+		return resp, err
+	}
+	resp.body = data[4+n:]
+	return resp, nil
 }

@@ -221,6 +221,15 @@ func mergeDicts(vecs []*Vector) ([]string, [][]uint32) {
 	return merged, remaps
 }
 
+// Take returns a zero-copy view of t's rows at the given logical row
+// indices, in order.
+func Take(t *Table, name string, idx []int32) *Table {
+	if t.sel != nil {
+		idx = gatherSlice(t.sel, idx)
+	}
+	return view(t, name, idx)
+}
+
 // Head returns a zero-copy table over t's first n rows (t itself when n
 // covers the table). t must be dense (no selection vector) with flat or
 // dict vectors — the base-table shapes the generator emits. The HTAP

@@ -199,3 +199,17 @@ func TestHead(t *testing.T) {
 		t.Errorf("Head(t, NumRows) should return t unchanged")
 	}
 }
+
+// TestTake pins the zero-copy reorder the coordinator's merge uses, on
+// a dense table and on a view (whose selection it composes).
+func TestTake(t *testing.T) {
+	sch := Schema{{Name: "k", Type: Int}}
+	base := NewTable("t", sch, IntsV([]int64{10, 20, 30, 40}))
+	if got, want := Take(base, "t", []int32{3, 0, 2}).Compacted().Cols[0].Ints, []int64{40, 10, 30}; !reflect.DeepEqual(got, want) {
+		t.Errorf("dense: %v, want %v", got, want)
+	}
+	odd := (&Exec{}).Filter(base, func(i int) bool { return i%2 == 1 }) // 20, 40
+	if got, want := Take(odd, "t", []int32{1, 0}).Compacted().Cols[0].Ints, []int64{40, 20}; !reflect.DeepEqual(got, want) {
+		t.Errorf("view: %v, want %v", got, want)
+	}
+}
